@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,8 +19,10 @@
 #include <omp.h>
 #endif
 
+#include "core/match_vector.hpp"
 #include "imaging/image.hpp"
 #include "obs/report.hpp"
+#include "sched/scheduler.hpp"
 #include "simd/dispatch.hpp"
 
 namespace sma::bench {
@@ -124,11 +128,26 @@ class JsonReport {
   std::vector<JsonRecord> records_;
 };
 
+/// The host's CPU model string (first "model name" of /proc/cpuinfo),
+/// or "unknown" where that file does not exist.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "unknown";
+}
+
 /// Stamps an `environment` record into the report so BENCH_*.json
-/// trajectories are comparable across machines and toolchains: compiler
-/// version and build flags (in the record's config string), the active
-/// SIMD dispatch level, the OpenMP thread count, and the scheduler
-/// thread pinning in effect (scripts/run_benches.sh pins
+/// trajectories are comparable across machines and toolchains: the host
+/// fingerprint (CPU model, hardware threads, dispatched SIMD level and
+/// its lane count, scheduler pool width), compiler version and build
+/// flags (in the record's config string), the OpenMP thread count, and
+/// the scheduler thread pinning in effect (scripts/run_benches.sh pins
 /// OMP_NUM_THREADS / SMA_THREADS only on bit-identity-sensitive legs,
 /// so both env values are recorded when present).  The record carries
 /// no wall_ms/pixels_per_s — it measures nothing.
@@ -148,8 +167,14 @@ inline void add_environment_record(JsonReport& report) {
   rec.backend = "none";
   rec.config = std::string("compiler=") + __VERSION__ +
                "; flags=" SMA_BENCH_BUILD_FLAGS "; simd=" +
-               simd::level_name(level);
+               simd::level_name(level) + "; cpu=" + cpu_model();
   rec.extra("simd_level_id", static_cast<double>(level));
+  rec.extra("simd_lanes", static_cast<double>(core::kernel_lanes(
+                              core::resolve_kernel_level(level))));
+  rec.extra("nproc",
+            static_cast<double>(std::thread::hardware_concurrency()));
+  rec.extra("pool_threads",
+            static_cast<double>(sched::ThreadPool::shared().threads()));
   rec.extra("omp_threads", static_cast<double>(omp_threads));
   if (const char* pinned = std::getenv("OMP_NUM_THREADS"))
     rec.extra("omp_num_threads_env", std::atof(pinned));

@@ -107,7 +107,8 @@ TrackResult TrackerBackend::track(const TrackerInput& input,
   // so every backend's match() — host or SIMD — shares the fast path.
   std::optional<MatchPrecompute> pre;
   double pre_seconds = 0.0;
-  if (resolve_precompute(config, mi) == PrecomputeDecision::kFast) {
+  if (precompute_planes_valid(config, mi,
+                              capabilities().semifluid_codes)) {
     const auto t0 = Clock::now();
     obs::TraceSpan span("backend", "match_precompute");
     pre.emplace(fg0.geom, parallel);

@@ -10,10 +10,12 @@
 //
 // Registered backends:
 //   "sequential" — single-threaded reference (ExecutionPolicy::kSequential)
-//   "openmp"     — host-parallel over rows  (ExecutionPolicy::kParallel)
-//   "vector"     — SIMD lanes over hypotheses inside OpenMP threads over
-//                  rows, runtime-dispatched AVX2/SSE2/NEON/scalar lane
-//                  kernels (core/match_vector.hpp, simd/dispatch.hpp)
+//   "tiled"      — host-parallel over pixel tiles; "openmp" is its
+//                  retired alias (ExecutionPolicy::kParallel)
+//   "vector"     — SIMD lanes over hypotheses inside the tiled threads,
+//                  runtime-dispatched AVX-512/AVX2/SSE2/NEON/scalar lane
+//                  kernels, F_cont and F_semi (core/match_vector.hpp,
+//                  simd/dispatch.hpp)
 //   "maspar-sim" — MP-2 SIMD-ordered executor with modeled machine costs
 //                  (registered by sma::maspar::register_maspar_backend(),
 //                  maspar/backend.hpp — the core library cannot depend on
@@ -39,6 +41,10 @@ namespace sma::core {
 struct BackendCapabilities {
   bool host_parallel = false;  ///< uses OpenMP threads on the host
   bool modeled_cost = false;   ///< attaches modeled-machine extras
+  /// match() runs active F_semi on the MatchPrecompute planes through
+  /// per-band SemiFluidCodes, so the attachment sites build the planes
+  /// for semi-fluid configs too (precompute_planes_valid).
+  bool semifluid_codes = false;
 };
 
 class TrackerBackend {

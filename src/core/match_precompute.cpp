@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/semifluid.hpp"
 #include "linalg/least_squares.hpp"
 
 // Hot loops read disjoint const planes and write local accumulators;
@@ -214,7 +215,8 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const WindowInvariants& win, int x,
                                        int y, int hx, int hy, int rx, int ry,
                                        MotionParams& params_out,
-                                       bool& ok_out) {
+                                       bool& ok_out,
+                                       const SemiFluidCodes* codes) {
   const int w = pre.width();
   const int h = pre.height();
   const double* SMA_RESTRICT const ni_p = pre.plane(MatchPrecompute::kNi);
@@ -226,11 +228,39 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
   for (int t = 0; t < 18; ++t)
     rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
 
+  linalg::Vec6 atb;
+  double btb = 0.0;
+  if (codes != nullptr) {
+    // Semi-fluid: each template pixel p gathers the after normal at its
+    // own refinement clamp(p + delta_h(p)) instead of clamp(p + h); the
+    // arithmetic per template pixel is the border branch's below.
+    const int hidx = codes->index(hx, hy);
+    for (int v = -ry; v <= ry; ++v) {
+      const int py = std::clamp(y + v, 0, h - 1);
+      const std::size_t off = static_cast<std::size_t>(py) * w;
+      for (int u = -rx; u <= rx; ++u) {
+        const int px = std::clamp(x + u, 0, w - 1);
+        const std::uint8_t c = codes->pixel(off + px)[hidx];
+        const int qx = std::clamp(px + hx + codes->dx(c), 0, w - 1);
+        const int qy = std::clamp(py + hy + codes->dy(c), 0, h - 1);
+        const double bi =
+            static_cast<double>(after.ni.at(qx, qy)) - ni_p[off + px];
+        const double bj =
+            static_cast<double>(after.nj.at(qx, qy)) - nj_p[off + px];
+        const double bk =
+            static_cast<double>(after.nk.at(qx, qy)) - nk_p[off + px];
+        for (int r = 0; r < 6; ++r)
+          atb[r] += rows_p[r][off + px] * bi + rows_p[6 + r][off + px] * bj +
+                    rows_p[12 + r][off + px] * bk;
+        btb += wi_p[off + px] * (bi * bi) + wj_p[off + px] * (bj * bj) +
+               bk * bk;
+      }
+    }
+    return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
+  }
   const bool interior = x - rx >= 0 && x + rx < w && y - ry >= 0 &&
                         y + ry < h && x - rx + hx >= 0 && x + rx + hx < w &&
                         y - ry + hy >= 0 && y + ry + hy < h;
-  linalg::Vec6 atb;
-  double btb = 0.0;
   for (int v = -ry; v <= ry; ++v) {
     const int py = std::clamp(y + v, 0, h - 1);
     const int qy = std::clamp(py + hy, 0, h - 1);
@@ -344,13 +374,6 @@ PrecomputeDecision resolve_precompute(const SmaConfig& config,
                                       const MatchInput& in) {
   if (config.precompute == PrecomputeMode::kOff)
     return PrecomputeDecision::kDisabled;
-  // Mirrors the `semifluid` flag inside evaluate_pixel_hypothesis: when
-  // the model remaps each template pixel within its own N_ss window, the
-  // correspondents are no longer a rigidly shifted box and the shared
-  // window sums are wrong.
-  if (config.model == MotionModel::kSemiFluid &&
-      config.semifluid_search_radius > 0)
-    return PrecomputeDecision::kSemiFluid;
   // Masks change the per-pixel window MULTISET (skipped rows), which the
   // precomputed tiles cannot express.
   if (in.mask_before != nullptr || in.mask_after != nullptr)
@@ -358,7 +381,27 @@ PrecomputeDecision resolve_precompute(const SmaConfig& config,
   // A strided template is no longer a dense box; the sliding recurrence
   // and the contiguous interior sweep both assume stride 1.
   if (config.template_stride > 1) return PrecomputeDecision::kStride;
+  // Mirrors the `semifluid` flag inside evaluate_pixel_hypothesis: when
+  // the model remaps each template pixel within its own N_ss window, the
+  // correspondents are no longer a rigidly shifted box.  Checked last:
+  // the planes stay valid, but only a SemiFluidCodes consumer can use
+  // them.
+  if (config.model == MotionModel::kSemiFluid &&
+      config.semifluid_search_radius > 0)
+    return PrecomputeDecision::kSemiFluid;
   return PrecomputeDecision::kFast;
+}
+
+bool semifluid_codes_eligible(const SmaConfig& config, const MatchInput& in) {
+  return resolve_precompute(config, in) == PrecomputeDecision::kSemiFluid &&
+         in.disc_before != nullptr && in.disc_after != nullptr &&
+         config.semifluid_search_radius <= SemiFluidCodes::kMaxNss;
+}
+
+bool precompute_planes_valid(const SmaConfig& config, const MatchInput& in,
+                             bool semifluid_codes) {
+  return resolve_precompute(config, in) == PrecomputeDecision::kFast ||
+         (semifluid_codes && semifluid_codes_eligible(config, in));
 }
 
 }  // namespace sma::core

@@ -36,12 +36,18 @@
 // NOT bit-exact; it is gated behind SmaConfig::precompute_sliding
 // (default off) and tolerance-tested.
 //
-// Fallback contract (resolve_precompute): the fast path engages only
-// when no validity masks are present, the semi-fluid per-pixel
-// remapping is inactive, and template_stride == 1 — otherwise the
-// template window is no longer a fixed box over the before frame and
-// the shared window sums are invalid.  The naive path remains the
-// equivalence oracle.
+// Fallback contract (resolve_precompute): the planes are valid only when
+// no validity masks are present and template_stride == 1 — otherwise the
+// template window is no longer a fixed box over the before frame and the
+// shared window sums are invalid.  Those checks come first, so a masked
+// or strided F_semi config can never reach the planes.  Active F_semi
+// (N_ss > 0) keeps the planes valid — the A^T A tiles and weighted rows
+// depend only on the before pixel — but moves each template pixel's
+// correspondent from p + h to p + delta_h(p); only a consumer that reads
+// per-band SemiFluidCodes (the `vector` backend's lane kernel) may use
+// them then.  precompute_planes_valid is the one rule the attachment
+// sites apply.  The staged scalar consumers use the planes for kFast
+// only, and the naive path remains the equivalence oracle.
 #pragma once
 
 #include <cstddef>
@@ -88,6 +94,8 @@ struct WindowInvariants {
 /// Precomputed SoA planes for one before frame.  ~53 double planes
 /// (~424 B/pixel); plane-major so each inner loop walks contiguous
 /// memory.
+class SemiFluidCodes;  // fwd (semifluid.hpp)
+
 class MatchPrecompute {
  public:
   // Plane indices.  kTile0..+20: A^T A upper triangle; kWri0/kWrj0/kWrk0
@@ -169,11 +177,16 @@ double solve_from_moments(const double* ata21, const linalg::Vec6& atb,
                           double btb, std::uint64_t rows,
                           MotionParams& params_out, bool& ok_out);
 
+/// `codes`, when non-null, switches the gather to the semi-fluid
+/// correspondents of the code band containing (hx, hy): template pixel p
+/// reads the after normal at clamp(p + delta_h(p)) — bit-identical to
+/// the naive semi-fluid evaluation.
 double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const surface::GeometricField& after,
                                        const WindowInvariants& win, int x,
                                        int y, int hx, int hy, int rx, int ry,
-                                       MotionParams& params_out, bool& ok_out);
+                                       MotionParams& params_out, bool& ok_out,
+                                       const SemiFluidCodes* codes = nullptr);
 
 /// Sliding-tier evaluation: uses the hoisted `row·n` / `w·n·n` window
 /// sums (win.cn, win.snn) so only the after-dependent sums are computed
@@ -185,11 +198,14 @@ double evaluate_hypothesis_hoisted(const MatchPrecompute& pre,
                                    MotionParams& params_out, bool& ok_out);
 
 /// Why the fast path did or did not engage for a given (config, input).
+/// Checked in declaration order after kFast: off, masks, stride, then
+/// semi-fluid.
 enum class PrecomputeDecision {
   kFast,       ///< precompute engages
   kDisabled,   ///< PrecomputeMode::kOff
   kMasked,     ///< validity masks present: window multiset varies per pixel
-  kSemiFluid,  ///< per-pixel remapping: correspondents are not a shifted box
+  kSemiFluid,  ///< per-pixel remapping: planes valid, correspondents need
+               ///< SemiFluidCodes (not a shifted box)
   kStride,     ///< template_stride > 1: sliding window sums invalid
 };
 
@@ -200,5 +216,18 @@ enum class PrecomputeDecision {
 /// search with subpixel refinement evaluates five.
 PrecomputeDecision resolve_precompute(const SmaConfig& config,
                                       const MatchInput& in);
+
+/// True when an active F_semi config can run on the planes through
+/// per-band SemiFluidCodes: the decision is kSemiFluid, both
+/// discriminants are attached and N_ss fits the one-byte code.
+bool semifluid_codes_eligible(const SmaConfig& config, const MatchInput& in);
+
+/// The "planes valid" rule of the two attachment sites (TrackerBackend::
+/// track, SmaPipeline): build MatchPrecompute when the decision is
+/// kFast, or when the consuming backend reads semi-fluid codes
+/// (BackendCapabilities::semifluid_codes) and semifluid_codes_eligible
+/// holds.
+bool precompute_planes_valid(const SmaConfig& config, const MatchInput& in,
+                             bool semifluid_codes);
 
 }  // namespace sma::core

@@ -8,6 +8,7 @@
 
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
+#include "core/semifluid.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 
@@ -21,20 +22,28 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-const char* decision_fallback_name(PrecomputeDecision d) {
-  switch (d) {
-    case PrecomputeDecision::kFast:
-      return "sliding";  // only reachable when precompute_sliding is on
+// Why the lane kernel cannot serve (config, in); "" when it can.  The
+// reasons follow resolve_precompute's order, so a masked or strided
+// F_semi config reports its mask or stride, not "semi-fluid".
+std::string vector_fallback(const SmaConfig& config, const MatchInput& in) {
+  switch (resolve_precompute(config, in)) {
     case PrecomputeDecision::kDisabled:
       return "precompute-off";
     case PrecomputeDecision::kMasked:
       return "masked";
-    case PrecomputeDecision::kSemiFluid:
-      return "semi-fluid";
     case PrecomputeDecision::kStride:
       return "stride";
+    case PrecomputeDecision::kSemiFluid:
+      if (!semifluid_codes_eligible(config, in)) return "semi-fluid";
+      break;
+    case PrecomputeDecision::kFast:
+      break;
   }
-  return "unknown";
+  // The sliding tier trades bit-exactness for box-filter reuse the lane
+  // kernel does not implement.
+  if (config.precompute_sliding) return "sliding";
+  if (in.precompute == nullptr) return "no-precompute";
+  return "";
 }
 
 }  // namespace
@@ -161,6 +170,7 @@ class VectorBackend final : public TrackerBackend {
   BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
     caps.host_parallel = true;
+    caps.semifluid_codes = true;
     return caps;
   }
 
@@ -174,27 +184,25 @@ class VectorBackend final : public TrackerBackend {
     extras->report.level_id = static_cast<int>(level);
     extras->report.lanes = kernel_lanes(level);
 
-    const PrecomputeDecision decision = resolve_precompute(config, in);
     // Pruned-mode eligibility is resolved once here: the vector sweep
     // prunes in-kernel when eligible; otherwise the reason is recorded
     // and the search runs exactly as in full mode.
     const PruneFallback prune_fb = resolve_prune(config, in);
     extras->prune.fallback_reason = static_cast<std::uint64_t>(prune_fb);
+    extras->report.fallback = vector_fallback(config, in);
     std::vector<PixelBest> best;
-    if (in.precompute != nullptr &&
-        decision == PrecomputeDecision::kFast && !config.precompute_sliding) {
+    if (extras->report.fallback.empty()) {
       extras->report.vector_path = true;
       best = run_vector_search(
-          in, config, level, result.timings, extras->report,
+          in, config, level, result.timings, result.peak_mapping_bytes,
+          extras->report,
           prune_fb == PruneFallback::kNone ? &extras->prune : nullptr);
     } else {
       // Fall back to the shared staged path (bit-identical to the host
-      // backends by construction): masked / semi-fluid / stride /
-      // precompute-off configs, and the sliding tier, which trades
-      // bit-exactness for box-filter reuse the lane kernel does not
-      // implement.  The staged path applies its own pruned-mode gate and
-      // records into the same report.
-      extras->report.fallback = decision_fallback_name(decision);
+      // backends by construction): masked / stride / precompute-off
+      // configs, F_semi without codes, and the sliding tier.  The staged
+      // path applies its own pruned-mode gate and records into the same
+      // report.
       best = run_hypothesis_search(
           in, config, /*parallel=*/true, result.timings,
           result.peak_mapping_bytes,
@@ -212,12 +220,10 @@ class VectorBackend final : public TrackerBackend {
   }
 
  private:
-  static std::vector<PixelBest> run_vector_search(const MatchInput& in,
-                                                  const SmaConfig& config,
-                                                  simd::SimdLevel level,
-                                                  TrackTimings& timings,
-                                                  VectorRunReport& report,
-                                                  PruneReport* prune) {
+  static std::vector<PixelBest> run_vector_search(
+      const MatchInput& in, const SmaConfig& config, simd::SimdLevel level,
+      TrackTimings& timings, std::size_t& peak_mapping_bytes,
+      VectorRunReport& report, PruneReport* prune) {
     const int w = in.width();
     const int h = in.height();
     const int nzt_x = config.z_template_radius;
@@ -232,8 +238,10 @@ class VectorBackend final : public TrackerBackend {
         prune != nullptr && config.prune_bound && nzt_y >= 1;
 
     std::vector<PixelBest> best(static_cast<std::size_t>(w) * h);
-    obs::TraceSpan span("match", "hypothesis_search");
-    const auto t0 = Clock::now();
+    // Everything in this call but the semi-fluid mapping is hypothesis
+    // matching (the pruned coarse pass included).
+    const auto t_start = Clock::now();
+    double mapping_seconds = 0.0;
 
     // An injected seed slice (shard runner) replaces the coarse pass —
     // same contract as run_pruned_search.
@@ -273,58 +281,108 @@ class VectorBackend final : public TrackerBackend {
     std::vector<VectorLaneTally> tallies(tiles.size());
     std::vector<PruneTileTally> prune_tallies(
         prune != nullptr ? tiles.size() : 0);
-    pool.run(
-        tiles,
-        [&](const sched::Tile& tile, std::size_t index) {
-          VectorLaneTally& tally = tallies[index];
-          for (int y = tile.y0; y < tile.y1; ++y) {
-            for (int x = tile.x0; x < tile.x1; ++x) {
-              WindowInvariants win;
-              pre->accumulate_window(x, y, nzt_x, nzt_y, win);
-              VectorKernelArgs args;
-              args.pre = pre;
-              args.after = in.after;
-              args.win = &win;
-              args.x = x;
-              args.y = y;
-              args.rx = nzt_x;
-              args.ry = nzt_y;
-              args.hx_min = -nzs_x;
-              args.hx_max = nzs_x;
-              args.hy_min = -nzs_y;
-              args.hy_max = nzs_y;
-              PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
-              if (prune != nullptr) {
-                const PruneWindow pw =
-                    prune_window(seeds, x, y, nzs_x, nzs_y, refine_radius);
-                args.hx_min = pw.hx_min;
-                args.hx_max = pw.hx_max;
-                args.hy_min = pw.hy_min;
-                args.hy_max = pw.hy_max;
-                PruneTileTally& pt = prune_tallies[index];
-                pt.scheduled +=
-                    static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
-                    (pw.hy_max - pw.hy_min + 1);
-                if (pw.shrunk)
-                  ++pt.window_pixels;
-                else
-                  ++pt.fallback_pixels;
-                WindowInvariants winp;
-                if (bound_on) {
-                  pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1, winp);
-                  args.win_prefix = &winp;
+    // One lane sweep over every pixel: the whole search box for F_cont,
+    // one band of codes for F_semi.
+    const auto sweep = [&](const SemiFluidCodes* codes) {
+      obs::TraceSpan span("match", "hypothesis_search");
+      pool.run(
+          tiles,
+          [&](const sched::Tile& tile, std::size_t index) {
+            VectorLaneTally& tally = tallies[index];
+            for (int y = tile.y0; y < tile.y1; ++y) {
+              for (int x = tile.x0; x < tile.x1; ++x) {
+                WindowInvariants win;
+                pre->accumulate_window(x, y, nzt_x, nzt_y, win);
+                VectorKernelArgs args;
+                args.pre = pre;
+                args.after = in.after;
+                args.win = &win;
+                args.codes = codes;
+                args.x = x;
+                args.y = y;
+                args.rx = nzt_x;
+                args.ry = nzt_y;
+                args.hx_min = -nzs_x;
+                args.hx_max = nzs_x;
+                args.hy_min = -nzs_y;
+                args.hy_max = nzs_y;
+                PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
+                if (prune != nullptr) {
+                  const PruneWindow pw =
+                      prune_window(seeds, x, y, nzs_x, nzs_y, refine_radius);
+                  args.hx_min = pw.hx_min;
+                  args.hx_max = pw.hx_max;
+                  args.hy_min = pw.hy_min;
+                  args.hy_max = pw.hy_max;
+                  PruneTileTally& pt = prune_tallies[index];
+                  pt.scheduled +=
+                      static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
+                      (pw.hy_max - pw.hy_min + 1);
+                  if (pw.shrunk)
+                    ++pt.window_pixels;
+                  else
+                    ++pt.fallback_pixels;
+                  WindowInvariants winp;
+                  if (bound_on) {
+                    pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1,
+                                                winp);
+                    args.win_prefix = &winp;
+                  }
+                  kernel(args, b, tally);
+                  if (pw.shrunk && b.any_ok &&
+                      prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
+                    ++pt.seed_interior;
+                } else {
+                  kernel(args, b, tally);
                 }
-                kernel(args, b, tally);
-                if (pw.shrunk && b.any_ok &&
-                    prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
-                  ++pt.seed_interior;
-              } else {
-                kernel(args, b, tally);
               }
             }
+          },
+          config.threads);
+    };
+
+    if (!semifluid_codes_eligible(config, in)) {
+      sweep(nullptr);
+    } else {
+      // F_semi, one band of hypothesis rows at a time (Sec. 4.3): reduce
+      // the band's cost layers to one code byte per (pixel, hypothesis),
+      // then sweep the band on the lanes.  The layers are built one
+      // offset row at a time as the fill walks down the band's
+      // hypothesis rows, so only 2*N_ss + 1 offset rows are ever live,
+      // and they are freed before the sweep.
+      const int nss = config.semifluid_search_radius;
+      const int zseg = config.effective_segment_rows();
+      const std::vector<sched::Tile> rows =
+          sched::make_tiles(w, h, sched::TileShape{w, 1});
+      for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
+        const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
+        const auto t0 = Clock::now();
+        obs::TraceSpan span("match", "semifluid_mapping");
+        SemiFluidCodes codes(w, h, nzs_x, hy_min, hy_max, nss);
+        {
+          SemiFluidCostField field(
+              *in.disc_before, *in.disc_after, nzs_x + nss, hy_min - nss,
+              hy_min + nss, config.semifluid_template_radius,
+              /*parallel=*/true, config.threads);
+          for (int hy = hy_min; hy <= hy_max; ++hy) {
+            if (hy > hy_min) field.advance();
+            pool.run(
+                rows,
+                [&](const sched::Tile& row, std::size_t) {
+                  codes.fill_rows(field, row.y0, row.y1);
+                },
+                config.threads);
           }
-        },
-        config.threads);
+          peak_mapping_bytes =
+              std::max(peak_mapping_bytes, field.bytes() + codes.bytes());
+        }
+        span.finish();
+        mapping_seconds += seconds_since(t0);
+        sweep(&codes);
+      }
+    }
+    timings.semifluid_mapping += mapping_seconds;
+    timings.hypothesis_matching += seconds_since(t_start) - mapping_seconds;
 
     std::uint64_t batched = 0, tail = 0, batches = 0;
     for (const VectorLaneTally& tally : tallies) {
@@ -332,7 +390,6 @@ class VectorBackend final : public TrackerBackend {
       tail += tally.tail_hypotheses;
       batches += tally.batches;
     }
-    timings.hypothesis_matching += seconds_since(t0);
     report.batched_hypotheses = batched;
     report.tail_hypotheses = tail;
     report.batches = batches;

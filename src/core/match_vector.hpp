@@ -3,7 +3,7 @@
 //
 // The paper amortizes the per-hypothesis cost across 16K PEs; the
 // `vector` backend amortizes it across SIMD lanes: for one pixel, a
-// batch of kLanes CONSECUTIVE hx hypotheses (same hy) marches through
+// batch of kLanes CONSECUTIVE hx hypotheses (same hy; F_cont) marches through
 // the precomputed SoA planes together — each lane accumulating its own
 // A^T b / b^T b in the exact template order of the scalar
 // evaluate_hypothesis_precomputed — then a lane-batched 6x6 elimination
@@ -15,13 +15,22 @@
 // a lane multiple go through the scalar evaluator (the tie-break is
 // visit-order independent, so mixing paths is safe).
 //
+// F_semi runs on the same kernel (DESIGN.md §13): per band of hypothesis
+// rows the backend reduces the semi-fluid cost field to one code byte per
+// (pixel, hypothesis) — delta_h(p), the template pixel's refinement — and
+// lane l gathers the after normal at clamp(p + delta_{h_l}(p)) instead
+// of clamp(p + h_l).  With codes the lanes run over the band's flattened
+// raster hypothesis index, so a 7x7 search fills whole batches.
+//
 // Because each lane's floating-point instruction sequence equals the
 // scalar path's, the backend is BIT-IDENTICAL to `sequential` on every
 // lane implementation — AVX-512, AVX2, SSE2, NEON and the forced-scalar
-// fallback — extending the Sec. 5.1 contract to the vector substrate.  Configs
-// the precompute cannot serve (masks, active semi-fluid remap, stride,
-// precompute off, or the non-bit-exact sliding tier) fall back to the
-// shared staged path, again bit-identical by construction.
+// fallback — extending the Sec. 5.1 contract to the vector substrate.
+// Fallback contract: configs the planes cannot serve (precompute off,
+// masks, stride — checked before semi-fluid), F_semi without codes
+// (missing discriminants, N_ss > 7) and the non-bit-exact sliding tier
+// run the shared staged path, again bit-identical by construction;
+// VectorRunReport::fallback names the reason.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512
@@ -42,6 +51,7 @@
 namespace sma::core {
 
 class MatchPrecompute;
+class SemiFluidCodes;
 struct WindowInvariants;
 
 /// Per-pixel inputs to one kernel invocation: the precompute planes,
@@ -62,6 +72,12 @@ struct VectorKernelArgs {
   /// checkpoint.  Null keeps the kernel's floating-point sequence
   /// EXACTLY as before — full mode stays bit-identical.
   const WindowInvariants* win_prefix = nullptr;
+  /// F_semi: the per-band correspondence codes (semifluid.hpp), or null
+  /// for F_cont.  When set, the hx/hy bounds are ignored: the kernel
+  /// scans the codes' whole band, lanes over its flattened raster
+  /// hypothesis index, and never checkpoints (pruned search refuses
+  /// semi-fluid).
+  const SemiFluidCodes* codes = nullptr;
 };
 
 /// Lane-occupancy accounting, summed across pixels into the
@@ -112,7 +128,9 @@ struct VectorRunReport {
   int level_id = 0;           ///< numeric SimdLevel (metrics-friendly)
   int lanes = 1;              ///< lanes per batch at that level
   bool vector_path = false;   ///< batched kernel ran (vs. staged fallback)
-  std::string fallback;       ///< why not, when it didn't ("" otherwise)
+  /// Why not, when it didn't ("" otherwise): precompute-off, masked,
+  /// stride, semi-fluid, sliding or no-precompute.
+  std::string fallback;
   std::uint64_t batched_hypotheses = 0;
   std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;

@@ -261,6 +261,13 @@ std::shared_ptr<const surface::GeometricField> SmaPipeline::peek_geometry(
   return entry != nullptr ? entry->geom : nullptr;
 }
 
+void SmaPipeline::release_precompute(const imaging::ImageF& img) {
+  const GeometryCache::Key key =
+      GeometryCache::make_key(img, config_.surface_fit_radius);
+  std::scoped_lock lock(*state_mutex_);
+  if (GeometryCache::Entry* entry = cache_->find(key)) entry->precompute.reset();
+}
+
 void SmaPipeline::reseed_geometry(
     const imaging::ImageF& img,
     const std::shared_ptr<const surface::GeometricField>& geom) {
@@ -363,7 +370,8 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   check_cancel(cancel, "match_precompute");
   std::shared_ptr<const MatchPrecompute> pre;
   double pre_seconds = 0.0;
-  if (resolve_precompute(config_, mi) == PrecomputeDecision::kFast) {
+  if (precompute_planes_valid(config_, mi,
+                              backend_->capabilities().semifluid_codes)) {
     PreLookup pl = frame_precompute(*effective.surface_before, g0);
     pre = std::move(pl.pre);
     pre_seconds = pl.seconds;
@@ -506,6 +514,7 @@ std::optional<TrackResult> SequenceStream::push(
   in.validity_before = prev_mask_.get();
   in.validity_after = validity.get();
   TrackResult r = pipeline_->track_pair(in, cancel);
+  pipeline_->release_precompute(*prev_);
 
   // --- Stage: products (trajectory chaining).
   const auto t0 = Clock::now();

@@ -199,6 +199,13 @@ class SmaPipeline {
   std::shared_ptr<const surface::GeometricField> peek_geometry(
       const imaging::ImageF& img);
 
+  /// Drops the matching planes attached to `img`'s cache entry; the
+  /// geometry stays cached.  SequenceStream calls it once a frame has
+  /// been the before frame of its pair — the only time a stream uses
+  /// that frame's planes — so a T-frame stream holds one set of planes
+  /// (~424 B/pixel, ten times the geometry) instead of T-1.
+  void release_precompute(const imaging::ImageF& img);
+
   /// Re-inserts a previously peeked geometry after an eviction.  No-op
   /// when `geom` is null or the entry is still cached, so in the
   /// no-eviction case the documented hit/miss invariant is untouched

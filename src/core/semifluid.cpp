@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "sched/scheduler.hpp"
+
 namespace sma::core {
 
 namespace {
@@ -87,46 +89,102 @@ std::pair<int, int> semifluid_match(const imaging::ImageF& disc_before,
 SemiFluidCostField::SemiFluidCostField(const imaging::ImageF& disc_before,
                                        const imaging::ImageF& disc_after,
                                        int ox_radius, int oy_min, int oy_max,
-                                       int nst)
-    : ox_radius_(ox_radius), oy_min_(oy_min), oy_max_(oy_max) {
+                                       int nst, bool parallel, int threads)
+    : disc_before_(&disc_before),
+      disc_after_(&disc_after),
+      nst_(nst),
+      parallel_(parallel),
+      threads_(threads),
+      ox_radius_(ox_radius),
+      oy_min_(oy_min),
+      oy_max_(oy_min - 1) {
   assert(oy_min <= oy_max);
+  append_rows(oy_max);
+}
+
+void SemiFluidCostField::advance() {
+  const std::size_t cols = static_cast<std::size_t>(2 * ox_radius_ + 1);
+  layers_.erase(layers_.begin(),
+                layers_.begin() + static_cast<std::ptrdiff_t>(cols));
+  ++oy_min_;
+  append_rows(oy_max_ + 1);
+}
+
+void SemiFluidCostField::append_rows(int oy_last) {
+  const imaging::ImageF& disc_before = *disc_before_;
+  const imaging::ImageF& disc_after = *disc_after_;
+  const int nst = nst_;
   const int w = disc_before.width();
   const int h = disc_before.height();
   const int n = (2 * nst + 1) * (2 * nst + 1);
-  const std::size_t layer_count =
-      static_cast<std::size_t>(2 * ox_radius + 1) *
-      static_cast<std::size_t>(oy_max - oy_min + 1);
-  layers_.reserve(layer_count);
+  const int cols = 2 * ox_radius_ + 1;
+  const int oy_first = oy_max_ + 1;
+  const int count = cols * (oy_last - oy_first + 1);
+  // All layer storage is allocated here, on the calling thread; a build
+  // task only needs row-sized scratch.
+  const std::size_t first = layers_.size();
+  layers_.resize(first + static_cast<std::size_t>(count),
+                 imaging::ImageD(w, h));
+  oy_max_ = oy_last;
 
-  imaging::ImageD sq(w, h);
-  imaging::ImageD rowsum(w, h);
-  for (int oy = oy_min; oy <= oy_max; ++oy) {
-    for (int ox = -ox_radius; ox <= ox_radius; ++ox) {
-      // Squared discriminant change for this offset.
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-          sq.at(x, y) = sq_diff(disc_before, disc_after, x, y, ox, oy);
-      // Separable box sum with clamped template coordinates: horizontal
-      // pass accumulates sq at clamped x+sx, vertical pass at clamped
-      // y+sy — the same composition and double-precision grouping as the
-      // direct sum in semifluid_cost.
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          double s = 0.0;
+  // One layer per offset, independent of every other layer.  Each pixel
+  // adds in the order of the direct sum in semifluid_cost: squared
+  // discriminant change, then a horizontal box pass over clamped x+sx,
+  // then a vertical pass over clamped y+sy, all in double.  The
+  // horizontal sums of the 2*nst+1 rows the vertical pass reads are kept
+  // in a ring indexed by image row.
+  const int span = 2 * nst + 1;
+  const auto build = [&](int index) {
+    const int oy = oy_first + index / cols;
+    const int ox = -ox_radius_ + index % cols;
+    std::vector<double> sq(static_cast<std::size_t>(w));
+    std::vector<double> ring(static_cast<std::size_t>(span) * w);
+    std::vector<int> ring_row(static_cast<std::size_t>(span), -1);
+    // Columns [lo, hi) read x + ox without clamping.
+    const int lo = std::clamp(-ox, 0, w);
+    const int hi = std::clamp(w - ox, lo, w);
+    const auto rowsum = [&](int y) -> const double* {
+      double* const out = ring.data() + static_cast<std::size_t>(y % span) * w;
+      if (ring_row[y % span] == y) return out;
+      ring_row[y % span] = y;
+      const float* const a = disc_after.row(std::clamp(y + oy, 0, h - 1));
+      const float* const b = disc_before.row(y);
+      const auto put = [&](int x, float after_value) {
+        const double d = after_value - b[x];
+        sq[x] = d * d;
+      };
+      for (int x = 0; x < lo; ++x) put(x, a[std::clamp(x + ox, 0, w - 1)]);
+      for (int x = lo; x < hi; ++x) put(x, a[x + ox]);
+      for (int x = hi; x < w; ++x) put(x, a[std::clamp(x + ox, 0, w - 1)]);
+      for (int x = 0; x < w; ++x) {
+        double s = 0.0;
+        if (x - nst >= 0 && x + nst < w) {
+          for (int sx = -nst; sx <= nst; ++sx) s += sq[x + sx];
+        } else {
           for (int sx = -nst; sx <= nst; ++sx)
-            s += sq.at_clamped(x + sx, y);
-          rowsum.at(x, y) = s;
+            s += sq[std::clamp(x + sx, 0, w - 1)];
         }
-      imaging::ImageD layer(w, h);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          double s = 0.0;
-          for (int sy = -nst; sy <= nst; ++sy)
-            s += rowsum.at_clamped(x, y + sy);
-          layer.at(x, y) = s / n;
-        }
-      layers_.push_back(std::move(layer));
+        out[x] = s;
+      }
+      return out;
+    };
+    imaging::ImageD& layer = layers_[first + static_cast<std::size_t>(index)];
+    for (int y = 0; y < h; ++y) {
+      double* const out = layer.row(y);
+      std::fill(out, out + w, 0.0);
+      for (int sy = -nst; sy <= nst; ++sy) {
+        const double* const in = rowsum(std::clamp(y + sy, 0, h - 1));
+        for (int x = 0; x < w; ++x) out[x] += in[x];
+      }
+      for (int x = 0; x < w; ++x) out[x] /= n;
     }
+  };
+  if (parallel_) {
+    sched::ThreadPool::shared().run(
+        sched::make_tiles(count, 1, 1, 1),
+        [&](const sched::Tile& t, std::size_t) { build(t.x0); }, threads_);
+  } else {
+    for (int i = 0; i < count; ++i) build(i);
   }
 }
 
@@ -159,6 +217,65 @@ std::size_t SemiFluidCostField::bytes() const {
   std::size_t b = 0;
   for (const auto& l : layers_) b += l.size() * sizeof(double);
   return b;
+}
+
+SemiFluidCodes::SemiFluidCodes(int width, int height, int hx_radius,
+                               int hy_min, int hy_max, int nss)
+    : width_(width),
+      height_(height),
+      hx_radius_(hx_radius),
+      hy_min_(hy_min),
+      hy_max_(hy_max),
+      nss_(nss),
+      hypotheses_((2 * hx_radius + 1) * (hy_max - hy_min + 1)),
+      codes_(static_cast<std::size_t>(width) * height * hypotheses_) {
+  assert(nss >= 0 && nss <= kMaxNss);
+  assert(hy_min <= hy_max);
+}
+
+void SemiFluidCodes::fill_rows(const SemiFluidCostField& field, int y0,
+                               int y1) {
+  // best_offset for a whole image row at once: the window candidates are
+  // visited in best_offset's raster order with its comparisons, one
+  // layer row at a time.
+  const int hy_first = std::max(hy_min_, field.oy_min() + nss_);
+  const int hy_last = std::min(hy_max_, field.oy_max() - nss_);
+  const std::size_t w = static_cast<std::size_t>(width_);
+  std::vector<double> best(w);
+  std::vector<int> bdx(w), bdy(w);
+  for (int y = y0; y < y1; ++y) {
+    int k = index(-hx_radius_, hy_first);
+    for (int hy = hy_first; hy <= hy_last; ++hy)
+      for (int hx = -hx_radius_; hx <= hx_radius_; ++hx, ++k) {
+        std::fill(best.begin(), best.end(),
+                  std::numeric_limits<double>::infinity());
+        std::fill(bdx.begin(), bdx.end(), 0);
+        std::fill(bdy.begin(), bdy.end(), 0);
+        for (int dy = -nss_; dy <= nss_; ++dy)
+          for (int dx = -nss_; dx <= nss_; ++dx) {
+            const double* const c = field.layer(hx + dx, hy + dy).row(y);
+            for (std::size_t x = 0; x < w; ++x)
+              if (c[x] < best[x] ||
+                  (c[x] == best[x] && tie_prefers(bdx[x], bdy[x], dx, dy))) {
+                best[x] = c[x];
+                bdx[x] = dx;
+                bdy[x] = dy;
+              }
+          }
+        std::uint8_t* out = codes_.data() +
+                            static_cast<std::size_t>(y) * w * hypotheses_ + k;
+        for (std::size_t x = 0; x < w; ++x, out += hypotheses_)
+          *out = static_cast<std::uint8_t>((bdy[x] + nss_) << 4 |
+                                           (bdx[x] + nss_));
+      }
+  }
+}
+
+std::pair<int, int> SemiFluidCodes::offset(int px, int py, int hx,
+                                           int hy) const {
+  const std::uint8_t c =
+      pixel(static_cast<std::size_t>(py) * width_ + px)[index(hx, hy)];
+  return {hx + dx(c), hy + dy(c)};
 }
 
 }  // namespace sma::core

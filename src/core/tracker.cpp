@@ -363,7 +363,8 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
       obs::TraceSpan span("match", "semifluid_mapping");
       field.emplace(*in.disc_before, *in.disc_after, nzs_x + nss,
                     hy_min - nss, hy_max + nss,
-                    config.semifluid_template_radius);
+                    config.semifluid_template_radius, parallel,
+                    config.threads);
       timings.semifluid_mapping += seconds_since(t0);
       peak_mapping_bytes = std::max(peak_mapping_bytes, field->bytes());
     }

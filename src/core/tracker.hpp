@@ -12,9 +12,14 @@
 //  * "sequential" — the paper's "sequential (un-optimized) version ...
 //    used to form a baseline for comparing the correctness of the
 //    parallel algorithm results" (Sec. 4).
-//  * "openmp"     — OpenMP over image rows; bit-identical output.
-//  * "vector"     — SIMD lanes over search hypotheses inside OpenMP rows
-//    (core/match_vector.hpp); bit-identical output on every lane ISA.
+//  * "tiled"      — work-stealing threads over pixel tiles
+//    (sched/scheduler.hpp); bit-identical output.  "openmp" is a
+//    retired alias of it.
+//  * "vector"     — SIMD lanes over search hypotheses inside the tiled
+//    threads (core/match_vector.hpp), F_cont and F_semi (through
+//    per-band semi-fluid codes); bit-identical output on every lane
+//    ISA.  Masked, strided, precompute-off and sliding configs fall
+//    back to the staged path.
 //  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp) driving
 //    the same per-pixel kernels layer by layer.
 // ExecutionPolicy survives as the legacy selector for the first two.
@@ -88,8 +93,10 @@ struct TrackResult {
   imaging::FlowField flow;
   TrackTimings timings;
   std::optional<ParamsField> params;
-  /// Peak bytes held by precomputed semi-fluid cost layers (whole image);
-  /// feeds the Sec. 4.3 PE-memory accounting in the benches.
+  /// Peak bytes of the Sec. 4.3 semi-fluid mapping data (whole image):
+  /// the cost layers of one band, plus the band's live code plane on the
+  /// `vector` backend's code path (the two coexist while the codes are
+  /// filled).  Feeds the PE-memory accounting in the benches.
   std::size_t peak_mapping_bytes = 0;
   /// Backend-specific attachments (null for the host backends).  See
   /// BackendExtras; shared so TrackResult stays cheaply copyable.
@@ -213,10 +220,12 @@ struct MatchInput {
   const imaging::ImageU8* mask_after = nullptr;
   /// Optional hypothesis-invariant precompute of `before`
   /// (match_precompute.hpp), attached by TrackerBackend::track and by
-  /// SmaPipeline (which caches it alongside the geometry).  Consumers
-  /// re-check resolve_precompute before using it; when null — or when
-  /// masks / semi-fluid remapping / stride make it ineligible — the
-  /// matching stages run the naive oracle path.
+  /// SmaPipeline (which caches it alongside the geometry) whenever
+  /// precompute_planes_valid holds.  Consumers re-check
+  /// resolve_precompute before using it; when null — or when masks /
+  /// stride make it ineligible, or semi-fluid remapping is active and
+  /// the consumer reads no semi-fluid codes — the matching stages run
+  /// the naive oracle path.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
   /// TrackerBackend::track and SmaPipeline so the pruned search mode

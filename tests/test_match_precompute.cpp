@@ -66,9 +66,10 @@ TEST(ResolvePrecompute, DecisionTable) {
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
   cfg.precompute = PrecomputeMode::kAuto;
 
-  // Semi-fluid remapping invalidates the shared window sums — but only
-  // when it is actually active (Nss > 0), matching the evaluator's own
-  // degeneration of F_semi to F_cont.
+  // Semi-fluid remapping moves each template pixel's correspondent off
+  // the shifted box (the planes stay valid, but only a semi-fluid code
+  // consumer may use them) — only when it is actually active (Nss > 0),
+  // matching the evaluator's own degeneration of F_semi to F_cont.
   cfg.model = MotionModel::kSemiFluid;
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kSemiFluid);
   cfg.semifluid_search_radius = 0;
